@@ -1,0 +1,8 @@
+"""Import the program from the checkout's ``src/`` in the self-tests."""
+
+import os
+import sys
+
+sys.path.insert(
+    0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+)
